@@ -789,7 +789,9 @@ impl Runtime {
     /// resolve (a liveness failure, e.g. an ablated detector) exhausts its
     /// budget and returns `false`.
     pub fn run_only(&mut self, set: ProcessSet, max_actions: u64) -> bool {
-        let n = self.tables.n;
+        if matches!(self.scheduler, ActionScheduler::RoundRobin) {
+            return self.run_sustained(set, max_actions);
+        }
         let mut taken = 0u64;
         loop {
             if taken >= max_actions {
@@ -812,79 +814,72 @@ impl Runtime {
                 taken += 1;
                 continue;
             }
-            let (p, action) = match self.scheduler {
-                ActionScheduler::RoundRobin => {
-                    let mut chosen = None;
-                    for off in 0..n {
-                        let idx = (self.rr_cursor + off) % n;
-                        if let Some((p, acts)) = candidates.iter().find(|(p, _)| p.index() == idx) {
-                            self.rr_cursor = (idx + 1) % n;
-                            chosen = Some((*p, acts[0]));
-                            break;
-                        }
-                    }
-                    chosen.expect("candidates non-empty")
-                }
-                ActionScheduler::Random => {
-                    let (p, acts) = &candidates[self.rng.gen_range(0..candidates.len())];
-                    (*p, acts[self.rng.gen_range(0..acts.len())])
-                }
-            };
-            self.now = self.now.next();
-            if self.alive(p) {
-                self.apply(p, action);
-            }
+            let (p, acts) = &candidates[self.rng.gen_range(0..candidates.len())];
+            let action = acts[self.rng.gen_range(0..acts.len())];
+            self.fire(*p, Some(action));
             taken += 1;
         }
     }
 
-    /// The sustained-load driver: fires the exact action sequence of
-    /// [`Runtime::run_only`] under the round-robin scheduler, but amortizes
-    /// candidate discovery. `run_only` materialises every process's
-    /// enabled-action list on every step — O(processes × actions) of
-    /// redundant guard evaluation per action fired — which is what the
-    /// explorer's adversarial schedules need, not what a serving loop
-    /// needs. Here the round-robin scan resumes at the stored cursor and
-    /// fires the first enabled action it meets, so under load each step
-    /// costs one process's guard evaluation. Returns `true` on quiescence
-    /// of `set`, `false` on budget exhaustion.
+    /// The sustained-load driver: the round-robin scheduler of
+    /// [`Runtime::run_only`], one [`Runtime::fire_round_robin`] per step
+    /// resuming at the stored cursor, so under load each step costs about
+    /// one process's guard evaluation rather than every process's. Returns
+    /// `true` on quiescence of `set`, `false` on budget exhaustion.
     pub fn run_sustained(&mut self, set: ProcessSet, max_actions: u64) -> bool {
-        let n = self.tables.n;
+        let mut cursor = self.rr_cursor;
         let mut taken = 0u64;
-        'steps: loop {
+        let quiesced = loop {
             if taken >= max_actions {
-                return false;
+                break false;
             }
-            for off in 0..n {
-                let idx = (self.rr_cursor + off) % n;
-                let p = ProcessId(idx as u32);
-                if !set.contains(p) || !self.alive(p) {
-                    continue;
+            if self.fire_round_robin(set, &mut cursor).is_none() {
+                if !self.has_obligations(set) {
+                    break true;
                 }
-                // The minimum enabled action is the `acts[0]` the
-                // round-robin arm of `run_only` fires.
-                let mut first: Option<Action> = None;
-                self.enabled_each(p, &mut |a| {
-                    if first.is_none_or(|b| a < b) {
-                        first = Some(a);
-                    }
-                });
-                let Some(action) = first else { continue };
-                self.rr_cursor = (idx + 1) % n;
+                // Idle tick: a guard may wait on time alone.
                 self.now = self.now.next();
-                if self.alive(p) {
-                    self.apply(p, action);
-                }
-                taken += 1;
-                continue 'steps;
             }
-            if !self.has_obligations(set) {
-                return true;
-            }
-            // Idle tick, as in `run_only`: a guard may wait on time alone.
-            self.now = self.now.next();
             taken += 1;
+        };
+        self.rr_cursor = cursor;
+        quiesced
+    }
+
+    /// One round-robin step over `set`: scans the processes cyclically
+    /// from `cursor` and fires the minimum enabled action (sub-choice `0`)
+    /// of the first live process that has one, leaving `cursor` just past
+    /// it (reduced mod the process count). Returns `None`, with nothing
+    /// changed, when no live process of `set` has an enabled action.
+    ///
+    /// This fires exactly what [`Runtime::options_into`] followed by a
+    /// rotating pick and [`Runtime::fire_enabled`] fires, but evaluates
+    /// guards only of the processes it visits — about one per step under
+    /// load — and never sorts.
+    pub fn fire_round_robin(
+        &mut self,
+        set: ProcessSet,
+        cursor: &mut usize,
+    ) -> Option<(ProcessId, Fired)> {
+        let n = self.tables.n;
+        for off in 0..n {
+            let idx = (*cursor + off) % n;
+            let p = ProcessId(idx as u32);
+            if !set.contains(p) || !self.alive(p) {
+                continue;
+            }
+            let mut first: Option<Action> = None;
+            self.enabled_each(p, &mut |a| {
+                if first.is_none_or(|b| a < b) {
+                    first = Some(a);
+                }
+            });
+            if first.is_some() {
+                *cursor = (idx + 1) % n;
+                return Some((p, self.fire(p, first)));
+            }
         }
+        None
     }
 
     /// Runs with every scheduling decision delegated to `source`,
@@ -986,13 +981,19 @@ impl Runtime {
         acts.clear();
         self.enabled_each(p, &mut |a| acts.push(a));
         acts.sort_unstable();
-        self.now = self.now.next();
-        if acts.is_empty() || !self.alive(p) {
-            self.scratch = acts;
-            return Fired::default();
-        }
-        let action = acts[choice.min(acts.len() - 1)];
+        let action = acts.get(choice.min(acts.len().saturating_sub(1))).copied();
         self.scratch = acts;
+        self.fire(p, action)
+    }
+
+    /// Advances the clock by one tick, then applies `action` at `p` unless
+    /// there is none or `p` crashed at the new time (the step is consumed
+    /// without effect).
+    fn fire(&mut self, p: ProcessId, action: Option<Action>) -> Fired {
+        self.now = self.now.next();
+        let Some(action) = action.filter(|_| self.alive(p)) else {
+            return Fired::default();
+        };
         let (delivered, delivered_count) = match action {
             Action::Deliver(m) => {
                 let u = self.unit_of[m.0 as usize];

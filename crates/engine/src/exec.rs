@@ -15,7 +15,7 @@
 //! the clock may idle) live behind the trait.
 
 use crate::Observer;
-use gam_kernel::schedule::{ChoiceStep, RecordingSource, ReplaySource, RotatingSource};
+use gam_kernel::schedule::{ChoiceStep, RecordInto, RecordingSource, ReplaySource, RotatingSource};
 use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 
 /// A steppable execution substrate: a state machine exposing its current
@@ -77,6 +77,20 @@ pub trait Executor {
     /// `false` if the substrate has no notion of idling (the message-passing
     /// kernel: an empty choice space there is final).
     fn idle_tick(&mut self) -> bool;
+
+    /// One step of the fair round-robin tail: fires sub-choice `0` of the
+    /// process [`RotatingSource`] picks from rotation position `cursor`,
+    /// advances `cursor`, and returns the step taken — or `None`, with
+    /// nothing changed, when the choice space is empty. `cursor` is opaque
+    /// to callers; `0` starts a fresh rotation.
+    ///
+    /// The provided implementation is the generic path and the oracle:
+    /// [`Executor::enabled_actions`], the rotating pick, then
+    /// [`Executor::step`]. An override must be indistinguishable from it:
+    /// the same picks, digest words and published events.
+    fn fire_fair(&mut self, cursor: &mut u32) -> Option<ChoiceStep> {
+        fire_rotating(self, cursor, &mut Vec::new())
+    }
 
     /// Subscribes `observer` to the substrate's trace bus (see
     /// [`TraceEvent`](crate::TraceEvent)). Executors publish nothing until
@@ -147,9 +161,31 @@ impl<E: Executor + ?Sized> Executor for &mut E {
     fn idle_tick(&mut self) -> bool {
         (**self).idle_tick()
     }
+    fn fire_fair(&mut self, cursor: &mut u32) -> Option<ChoiceStep> {
+        (**self).fire_fair(cursor)
+    }
     fn attach(&mut self, observer: Box<dyn Observer + Send>) {
         (**self).attach(observer);
     }
+}
+
+/// The generic fair step behind the provided [`Executor::fire_fair`]:
+/// writes the choice space into `options`, takes the [`RotatingSource`]
+/// pick from `cursor`, and [`Executor::step`]s sub-choice `0`. An executor
+/// that keeps this path can pass a reusable options buffer.
+pub(crate) fn fire_rotating<E: Executor + ?Sized>(
+    exec: &mut E,
+    cursor: &mut u32,
+    options: &mut Vec<(ProcessId, usize)>,
+) -> Option<ChoiceStep> {
+    exec.enabled_actions(options);
+    let idx = RotatingSource::pick(cursor, options)?;
+    let step = ChoiceStep {
+        pid: options[idx].0,
+        choice: 0,
+    };
+    exec.step(step);
+    Some(step)
 }
 
 /// Runs `exec` with every scheduling decision delegated to `source`, until
@@ -207,7 +243,66 @@ where
 /// Runs `exec` under the deterministic fair round-robin policy
 /// ([`RotatingSource`]) — the canonical "just run it" driver.
 pub fn run_fair<E: Executor + ?Sized>(exec: &mut E, max_steps: u64) -> RunOutcome {
-    run_with_source(exec, &mut RotatingSource::default(), max_steps)
+    run_fair_counted(exec, max_steps, None).0
+}
+
+/// The fair round-robin driver: the run [`run_with_source_counted`] takes
+/// under a fresh [`RotatingSource`], stepped through
+/// [`Executor::fire_fair`]. Returns the outcome and the budget consumed,
+/// and appends every step taken to `record` when given — the fair tail
+/// that completes an enumerated or replayed prefix.
+pub fn run_fair_counted<E: Executor + ?Sized>(
+    exec: &mut E,
+    max_steps: u64,
+    mut record: Option<&mut Vec<ChoiceStep>>,
+) -> (RunOutcome, u64) {
+    let mut cursor = 0u32;
+    let mut taken = 0u64;
+    loop {
+        if taken >= max_steps {
+            return (RunOutcome::BudgetExhausted, taken);
+        }
+        match exec.fire_fair(&mut cursor) {
+            Some(step) => {
+                if let Some(log) = record.as_deref_mut() {
+                    log.push(step);
+                }
+            }
+            None if exec.is_quiescent() || !exec.idle_tick() => {
+                return (RunOutcome::Quiescent, taken);
+            }
+            None => {}
+        }
+        taken += 1;
+    }
+}
+
+/// Runs `exec` under `prefix` until the source stops, then completes the
+/// run with the fair round-robin tail on the remaining budget — the
+/// run-completion policy of replay and the explorer: any enumerated or
+/// replayed prefix is extended to a *fair* run, so quiescence (and hence
+/// the spec checkers) is meaningful. Returns the outcome and the budget
+/// consumed by both phases, and appends every step taken to `record` when
+/// given.
+pub fn run_with_fair_tail<E, S>(
+    exec: &mut E,
+    prefix: &mut S,
+    max_steps: u64,
+    mut record: Option<&mut Vec<ChoiceStep>>,
+) -> (RunOutcome, u64)
+where
+    E: Executor + ?Sized,
+    S: ScheduleSource + ?Sized,
+{
+    let (out, taken) = match record.as_deref_mut() {
+        Some(log) => run_with_source_counted(exec, &mut RecordInto::new(prefix, log), max_steps),
+        None => run_with_source_counted(exec, prefix, max_steps),
+    };
+    if out != RunOutcome::Stopped {
+        return (out, taken);
+    }
+    let (out, tail) = run_fair_counted(exec, max_steps - taken, record);
+    (out, taken + tail)
 }
 
 /// Runs `exec` under `source`, recording every decision taken. Returns the
@@ -224,45 +319,13 @@ where
 }
 
 /// Replays a recorded `schedule` on `exec`, completing with the fair
-/// round-robin tail once the schedule is exhausted — so every replayed
-/// prefix extends to a *fair* run whose quiescence is meaningful.
+/// round-robin tail once the schedule is exhausted (see
+/// [`run_with_fair_tail`]).
 pub fn replay<E: Executor + ?Sized>(
     exec: &mut E,
     schedule: &[ChoiceStep],
     max_steps: u64,
 ) -> RunOutcome {
-    let mut source = PrefixTail::new(ReplaySource::new(schedule.to_vec()));
-    run_with_source(exec, &mut source, max_steps)
-}
-
-/// A source that plays a prefix and then falls back to the fair
-/// deterministic round-robin tail forever — the run-completion policy of
-/// the explorer: any enumerated or replayed prefix is extended to a *fair*
-/// run, so quiescence (and hence the spec checkers) is meaningful.
-#[derive(Debug)]
-pub struct PrefixTail<S> {
-    prefix: Option<S>,
-    tail: RotatingSource,
-}
-
-impl<S: ScheduleSource> PrefixTail<S> {
-    /// Plays `prefix` until it stops, then the round-robin tail.
-    pub fn new(prefix: S) -> Self {
-        PrefixTail {
-            prefix: Some(prefix),
-            tail: RotatingSource::default(),
-        }
-    }
-}
-
-impl<S: ScheduleSource> ScheduleSource for PrefixTail<S> {
-    fn next_choice(&mut self, options: &[(ProcessId, usize)]) -> Option<(usize, usize)> {
-        if let Some(prefix) = &mut self.prefix {
-            if let Some(pick) = prefix.next_choice(options) {
-                return Some(pick);
-            }
-            self.prefix = None;
-        }
-        self.tail.next_choice(options)
-    }
+    let mut source = ReplaySource::new(schedule.to_vec());
+    run_with_fair_tail(exec, &mut source, max_steps, None).0
 }

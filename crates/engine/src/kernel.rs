@@ -11,7 +11,7 @@
 
 use crate::digest::Digest;
 use crate::event::{Observer, TraceEvent};
-use crate::exec::{Executor, SnapshotExec};
+use crate::exec::{fire_rotating, Executor, SnapshotExec};
 use gam_core::MessageId;
 use gam_kernel::schedule::ChoiceStep;
 use gam_kernel::{Automaton, History, ProcessId, ProcessSet, Simulator};
@@ -33,6 +33,8 @@ pub struct KernelExecutor<A: Automaton, H: History<Value = A::Fd>> {
     delivery_msg: Option<DeliveryMsgFn<A>>,
     events_seen: usize,
     crashed_seen: ProcessSet,
+    /// Reusable choice-space buffer of the fair driver.
+    options: Vec<(ProcessId, usize)>,
 }
 
 impl<A: Automaton, H: History<Value = A::Fd>> KernelExecutor<A, H> {
@@ -53,6 +55,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> KernelExecutor<A, H> {
             delivery_msg: None,
             events_seen: 0,
             crashed_seen: ProcessSet::EMPTY,
+            options: Vec::new(),
         }
     }
 
@@ -194,6 +197,14 @@ impl<A: Automaton, H: History<Value = A::Fd>> Executor for KernelExecutor<A, H> 
         // The kernel has no time-gated guards: an empty choice space is
         // final, so there is nothing to wait for.
         false
+    }
+
+    fn fire_fair(&mut self, cursor: &mut u32) -> Option<ChoiceStep> {
+        // The generic path, with the options buffer reused across steps.
+        let mut options = std::mem::take(&mut self.options);
+        let step = fire_rotating(self, cursor, &mut options);
+        self.options = options;
+        step
     }
 
     fn attach(&mut self, observer: Box<dyn Observer + Send>) {

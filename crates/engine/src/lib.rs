@@ -14,8 +14,10 @@
 //! - [`Executor`] — the substrate interface: `enabled_actions` /
 //!   `step` / `state_digest` / `is_quiescent` / `idle_tick`, implemented by
 //!   [`RuntimeExecutor`] (Level A) and [`KernelExecutor`] (Level B);
-//! - [`run_with_source`], [`run_fair`], [`run_recorded`], [`replay`] — the
-//!   *single* driver loop every [`ScheduleSource`] now flows through;
+//! - [`run_with_source`], [`run_recorded`] — the *single* driver loop
+//!   every [`ScheduleSource`] now flows through, and [`run_fair`],
+//!   [`run_with_fair_tail`], [`replay`] — the one fair round-robin driver
+//!   ([`Executor::fire_fair`]) that completes every run;
 //! - [`digest`] — the one shared, incremental run-hash implementation;
 //! - [`TraceEvent`] / [`Observer`] — the trace bus publishing steps,
 //!   message traffic, FD queries, deliveries, crashes and idle ticks in a
@@ -47,8 +49,8 @@ mod visited;
 
 pub use event::{EventCounts, EventLog, Observer, TraceEvent};
 pub use exec::{
-    replay, run_fair, run_recorded, run_with_source, run_with_source_counted, Executor, PrefixTail,
-    SnapshotExec,
+    replay, run_fair, run_fair_counted, run_recorded, run_with_fair_tail, run_with_source,
+    run_with_source_counted, Executor, SnapshotExec,
 };
 pub use independence::{actions_commute, groups_conflict, shard_partition};
 pub use kernel::{KernelExecutor, KernelSnapshot};

@@ -11,7 +11,7 @@
 use crate::digest::Digest;
 use crate::event::{Observer, TraceEvent};
 use crate::exec::{Executor, SnapshotExec};
-use gam_core::{ActionDesc, RunReport, Runtime};
+use gam_core::{ActionDesc, Fired, RunReport, Runtime};
 use gam_kernel::schedule::ChoiceStep;
 use gam_kernel::{ProcessId, ProcessSet};
 
@@ -72,6 +72,40 @@ impl RuntimeExecutor {
         self.rt.describe_enabled(self.set, out);
     }
 
+    /// Folds a fired step into the history digest and publishes it: the
+    /// one bookkeeping path of [`Executor::step`] and
+    /// [`Executor::fire_fair`].
+    fn record_step(&mut self, action: ChoiceStep, fired: Fired) {
+        let now = self.rt.now();
+        self.digest.push(now.0);
+        self.digest.push(u64::from(action.pid.0));
+        self.digest
+            .push(fired.delivered.map_or(u64::from(fired.fired), |m| m.0 + 2));
+        // Batched units fold their width as an extra word; unbatched runs
+        // (count ≤ 1) keep the historical three-word stream byte-identical,
+        // so existing `.repro` fixtures and cross-substrate digests replay
+        // unchanged when batching is off.
+        if fired.delivered_count > 1 {
+            self.digest.push(u64::from(fired.delivered_count));
+        }
+        if self.observers.is_empty() {
+            return;
+        }
+        self.publish(&TraceEvent::Step {
+            time: now,
+            pid: action.pid,
+            choice: action.choice,
+        });
+        self.publish_crashes();
+        if let Some(msg) = fired.delivered {
+            self.publish(&TraceEvent::Deliver {
+                time: now,
+                pid: action.pid,
+                msg: Some(msg),
+            });
+        }
+    }
+
     fn publish(&mut self, ev: &TraceEvent) {
         for obs in &mut self.observers {
             obs.on_event(ev);
@@ -129,34 +163,20 @@ impl Executor for RuntimeExecutor {
 
     fn step(&mut self, action: ChoiceStep) {
         let fired = self.rt.fire_enabled(action.pid, action.choice);
-        let now = self.rt.now();
-        self.digest.push(now.0);
-        self.digest.push(u64::from(action.pid.0));
-        self.digest
-            .push(fired.delivered.map_or(u64::from(fired.fired), |m| m.0 + 2));
-        // Batched units fold their width as an extra word; unbatched runs
-        // (count ≤ 1) keep the historical three-word stream byte-identical,
-        // so existing `.repro` fixtures and cross-substrate digests replay
-        // unchanged when batching is off.
-        if fired.delivered_count > 1 {
-            self.digest.push(u64::from(fired.delivered_count));
-        }
-        if self.observers.is_empty() {
-            return;
-        }
-        self.publish(&TraceEvent::Step {
-            time: now,
-            pid: action.pid,
-            choice: action.choice,
-        });
-        self.publish_crashes();
-        if let Some(msg) = fired.delivered {
-            self.publish(&TraceEvent::Deliver {
-                time: now,
-                pid: action.pid,
-                msg: Some(msg),
-            });
-        }
+        self.record_step(action, fired);
+    }
+
+    fn fire_fair(&mut self, cursor: &mut u32) -> Option<ChoiceStep> {
+        // The amortized scan picks what the rotating pick over
+        // `enabled_actions` picks; in both a cursor past the last process
+        // wraps to the first. Cursors are at most the process count, so
+        // the casts are lossless.
+        let mut at = *cursor as usize;
+        let (pid, fired) = self.rt.fire_round_robin(self.set, &mut at)?;
+        *cursor = at as u32;
+        let action = ChoiceStep { pid, choice: 0 };
+        self.record_step(action, fired);
+        Some(action)
     }
 
     fn state_digest(&self) -> u64 {

@@ -24,7 +24,7 @@
 //!   after a restore are the steps a fresh replay of the prefix would have
 //!   taken: per-run `state_digest`/`state_fingerprint` and the recorded
 //!   schedules are identical. Fair tails are fresh
-//!   [`RotatingSource`]s in both engines.
+//!   [`run_fair_counted`] drives in both engines.
 //! - **Same dedup decisions.** The per-worker [`VisitedSet`] is consulted
 //!   at the same post-prefix fingerprints, and (as in the odometer pool)
 //!   only *clean* tail verdicts are recorded, so pruning can never hide a
@@ -65,9 +65,9 @@ use crate::par::{exhaustive_pool, merge, ExploreConfig, ItemResult};
 use crate::Scenario;
 use gam_core::spec::check_all;
 use gam_core::ActionDesc;
-use gam_engine::{run_with_source_counted, Executor, RuntimeSnapshot, SnapshotExec, VisitedSet};
+use gam_engine::{run_fair_counted, Executor, RuntimeSnapshot, SnapshotExec, VisitedSet};
 use gam_groups::GroupSystem;
-use gam_kernel::schedule::{ChoiceStep, RecordInto, RotatingSource};
+use gam_kernel::schedule::ChoiceStep;
 use gam_kernel::{ProcessId, RunOutcome};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -412,10 +412,8 @@ pub(crate) fn dfs_item(
             continue;
         }
         tail_sched.clear();
-        let (tail_out, tail_steps) = {
-            let mut tail = RecordInto::new(RotatingSource::default(), &mut tail_sched);
-            run_with_source_counted(&mut exec, &mut tail, scenario.max_steps - taken)
-        };
+        let (tail_out, tail_steps) =
+            run_fair_counted(&mut exec, scenario.max_steps - taken, Some(&mut tail_sched));
         res.steps_executed += tail_steps;
         res.steps_odometer += tail_steps;
         let report = exec.report(tail_out == RunOutcome::Quiescent);
@@ -480,7 +478,7 @@ pub fn explore_exhaustive_dfs_par(
 mod tests {
     use super::*;
     use crate::explorer::{explore_exhaustive, Outcome, DEFAULT_SHRINK_BUDGET};
-    use gam_engine::run_with_source;
+    use gam_engine::{run_fair, run_with_fair_tail};
     use gam_groups::topology;
     use gam_kernel::schedule::PathSource;
 
@@ -547,7 +545,7 @@ mod tests {
             let (mut t, mut e) = (taken, 0u64);
             let mut sched = Vec::new();
             step_flat(exec, &opts, flat, &mut sched, &mut t, &mut e);
-            let out = run_with_source(exec, &mut RotatingSource::default(), scenario.max_steps - t);
+            let out = run_fair(exec, scenario.max_steps - t);
             assert_eq!(out, RunOutcome::Quiescent);
             (exec.state_digest(), exec.state_fingerprint())
         };
@@ -572,8 +570,8 @@ mod tests {
         // scheduled step precedes the first branch (advance only idles), so
         // the path is the single child digit; the tail is the fair default.
         let mut fresh = scenario.runtime_executor();
-        let mut src = gam_engine::PrefixTail::new(PathSource::new(vec![0]));
-        let out = run_with_source(&mut fresh, &mut src, scenario.max_steps);
+        let mut src = PathSource::new(vec![0]);
+        let (out, _) = run_with_fair_tail(&mut fresh, &mut src, scenario.max_steps, None);
         assert_eq!(out, RunOutcome::Quiescent);
         assert_eq!(
             (fresh.state_digest(), fresh.state_fingerprint()),

@@ -7,10 +7,10 @@
 //! `tests/parallel_determinism.rs`) to produce byte-identical [`Repro`]s.
 
 use crate::shrink::shrink;
-use crate::{PrefixTail, Repro, Scenario};
+use crate::{Repro, Scenario};
 use gam_core::spec::{check_all, SpecViolation};
-use gam_engine::run_with_source_counted;
-use gam_kernel::schedule::{PathSource, RandomSource, RecordInto, RecordingSource};
+use gam_engine::{run_with_fair_tail, run_with_source_counted};
+use gam_kernel::schedule::{PathSource, RandomSource, RecordingSource};
 use gam_kernel::RunOutcome;
 use std::ops::Range;
 
@@ -198,13 +198,13 @@ pub fn explore_exhaustive(
         path_source.reset_to(&path);
         schedule.clear();
         let mut exec = scenario.runtime_executor();
-        let out = {
-            let mut source = RecordInto::new(PrefixTail::new(&mut path_source), &mut schedule);
-            let (out, consumed) =
-                run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
-            steps += consumed;
-            out
-        };
+        let (out, consumed) = run_with_fair_tail(
+            &mut exec,
+            &mut path_source,
+            scenario.max_steps,
+            Some(&mut schedule),
+        );
+        steps += consumed;
         let report = exec.report(out == RunOutcome::Quiescent);
         runs += 1;
         if let Err(violation) = check_all(&report, scenario.variant) {

@@ -13,7 +13,7 @@
 //!
 //! [`ScheduleSource`]: gam_kernel::schedule::ScheduleSource
 
-use crate::{PrefixTail, Scenario};
+use crate::Scenario;
 use gam_core::distributed::{run_report, DistProcess, MuHistory};
 use gam_core::spec::{check_all, check_integrity, check_pairwise_agreement};
 use gam_core::Variant;
@@ -23,7 +23,7 @@ use gam_kernel::schedule::{ChoiceStep, RandomSource, ReplaySource, ScheduleSourc
 use gam_kernel::{RunOutcome, Simulator};
 
 use gam_engine::digest::Digest;
-use gam_engine::{Executor, KernelExecutor};
+use gam_engine::{run_with_fair_tail, Executor, KernelExecutor};
 
 /// The outcome of one kernel-level run.
 #[derive(Debug, Clone)]
@@ -65,6 +65,16 @@ impl Scenario {
 fn run_with<S: ScheduleSource>(scenario: &Scenario, source: S) -> KernelRun {
     let mut exec = scenario.kernel_executor();
     let (outcome, schedule) = gam_engine::run_recorded(&mut exec, source, scenario.max_steps);
+    finish(scenario, exec, outcome, schedule)
+}
+
+/// Digests and checks a finished kernel run.
+fn finish(
+    scenario: &Scenario,
+    exec: KernelExecutor<DistProcess, MuHistory>,
+    outcome: RunOutcome,
+    schedule: Vec<ChoiceStep>,
+) -> KernelRun {
     let quiescent = outcome == RunOutcome::Quiescent;
     let report = run_report(
         exec.sim(),
@@ -110,10 +120,11 @@ pub fn swarm_run(system: &GroupSystem, seed: u64, max_steps: u64) -> KernelRun {
 /// original [`KernelRun::hash`] exactly.
 pub fn replay_run(system: &GroupSystem, schedule: &[ChoiceStep], max_steps: u64) -> KernelRun {
     let scenario = Scenario::one_per_group(system, max_steps);
-    run_with(
-        &scenario,
-        PrefixTail::new(ReplaySource::new(schedule.to_vec())),
-    )
+    let mut exec = scenario.kernel_executor();
+    let mut recorded = Vec::new();
+    let mut source = ReplaySource::new(schedule.to_vec());
+    let (outcome, _) = run_with_fair_tail(&mut exec, &mut source, max_steps, Some(&mut recorded));
+    finish(&scenario, exec, outcome, recorded)
 }
 
 #[cfg(test)]

@@ -49,7 +49,6 @@ pub use explorer::{
     explore_exhaustive, explore_swarm, Counterexample, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET,
 };
 pub use gam_engine::digest::{self, fnv1a, trace_hash};
-pub use gam_engine::PrefixTail;
 pub use hunt::{hunt, hunt_one, HuntConfig, HuntFinding, HuntOutcome, HuntReport};
 pub use independence::{actions_commute, por_applicable};
 pub use par::{explore_exhaustive_par, explore_swarm_par, ExploreConfig};
@@ -60,7 +59,7 @@ use gam_core::spec::{check_all, SpecViolation};
 use gam_core::{MessageId, RunReport, Runtime, RuntimeConfig, Variant};
 use gam_engine::RuntimeExecutor;
 use gam_groups::{GroupId, GroupSystem};
-use gam_kernel::schedule::ScheduleSource;
+use gam_kernel::schedule::{ChoiceStep, ScheduleSource};
 use gam_kernel::{FailurePattern, ProcessId, RunOutcome, Time};
 
 /// A closed, runnable test case: everything about a run except its
@@ -154,6 +153,15 @@ impl Scenario {
     pub fn run<S: ScheduleSource>(&self, source: &mut S) -> RunReport {
         let mut exec = self.runtime_executor();
         let out = gam_engine::run_with_source(&mut exec, source, self.max_steps);
+        exec.report(out == RunOutcome::Quiescent)
+    }
+
+    /// Replays `schedule` on the scenario, completing the run with the fair
+    /// round-robin tail once the schedule is exhausted (see
+    /// [`gam_engine::replay`]).
+    pub fn replay(&self, schedule: &[ChoiceStep]) -> RunReport {
+        let mut exec = self.runtime_executor();
+        let out = gam_engine::replay(&mut exec, schedule, self.max_steps);
         exec.report(out == RunOutcome::Quiescent)
     }
 

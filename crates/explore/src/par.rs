@@ -55,8 +55,10 @@
 use crate::explorer::{found, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET};
 use crate::Scenario;
 use gam_core::spec::{check_all, SpecViolation};
-use gam_engine::{run_with_source, run_with_source_counted, Executor, VisitedSet};
-use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordingSource, RotatingSource};
+use gam_engine::{
+    run_fair_counted, run_with_source, run_with_source_counted, Executor, VisitedSet,
+};
+use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordingSource};
 use gam_kernel::RunOutcome;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -229,12 +231,13 @@ pub(crate) fn explore_item(
                 None
             } else {
                 tail_state = Some(fp);
-                let mut tail = RecordingSource::new(RotatingSource::default());
-                let (tail_out, tail_steps) =
-                    run_with_source_counted(&mut exec, &mut tail, scenario.max_steps - consumed);
+                let (tail_out, tail_steps) = run_fair_counted(
+                    &mut exec,
+                    scenario.max_steps - consumed,
+                    Some(&mut schedule),
+                );
                 res.steps_executed += tail_steps;
                 res.steps_odometer += tail_steps;
-                schedule.extend(tail.into_log());
                 Some(exec.report(tail_out == RunOutcome::Quiescent))
             }
         } else {

@@ -15,9 +15,9 @@
 //! 5. collapse entries' sub-choices to `0` — the round-robin default — so
 //!    what remains highlights exactly the adversarial choices that matter.
 
-use crate::{PrefixTail, Scenario};
+use crate::Scenario;
 use gam_core::spec::{check_all, check_named};
-use gam_kernel::schedule::{ChoiceStep, ReplaySource};
+use gam_kernel::schedule::ChoiceStep;
 
 /// Re-runs the candidate and checks that `property` is still violated —
 /// first through the variant's `check_all` (the common case), then through
@@ -25,8 +25,7 @@ use gam_kernel::schedule::{ChoiceStep, ReplaySource};
 /// their variant's checked set (e.g. a pairwise-variant run violating
 /// global `ordering`) shrink just like in-variant ones.
 fn still_violates(scenario: &Scenario, schedule: &[ChoiceStep], property: &str) -> bool {
-    let mut source = PrefixTail::new(ReplaySource::new(schedule.to_vec()));
-    let report = scenario.run(&mut source);
+    let report = scenario.replay(schedule);
     if matches!(check_all(&report, scenario.variant), Err(ref v) if v.property == property) {
         return true;
     }

@@ -58,14 +58,25 @@ pub struct RotatingSource {
     cursor: u32,
 }
 
-impl ScheduleSource for RotatingSource {
-    fn next_choice(&mut self, options: &[(ProcessId, usize)]) -> Option<(usize, usize)> {
+impl RotatingSource {
+    /// The round-robin pick over `options` from rotation position
+    /// `cursor`: the first option whose process is at or after `cursor`,
+    /// wrapping to the first option, with `cursor` left just past the
+    /// picked process. `None` on an empty choice space.
+    pub fn pick(cursor: &mut u32, options: &[(ProcessId, usize)]) -> Option<usize> {
         let idx = options
             .iter()
-            .position(|(p, _)| p.0 >= self.cursor)
+            .position(|(p, _)| p.0 >= *cursor)
             .unwrap_or(0);
-        self.cursor = options[idx].0 .0 + 1;
-        Some((idx, 0))
+        let (p, _) = options.get(idx)?;
+        *cursor = p.0 + 1;
+        Some(idx)
+    }
+}
+
+impl ScheduleSource for RotatingSource {
+    fn next_choice(&mut self, options: &[(ProcessId, usize)]) -> Option<(usize, usize)> {
+        RotatingSource::pick(&mut self.cursor, options).map(|idx| (idx, 0))
     }
 }
 
